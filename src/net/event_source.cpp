@@ -110,9 +110,12 @@ int UserEventSource::preferred_timeout_ms(int proposed) const {
 }
 
 void UserEventSource::drain_wakeup() {
+  // A non-semaphore eventfd read returns and clears the whole counter, so
+  // one read suffices.  A post() that races in after it leaves the fd
+  // readable, and the next poll picks it up.
   uint64_t counter = 0;
-  while (::read(wakeup_fd_.get(), &counter, sizeof(counter)) > 0) {
-  }
+  [[maybe_unused]] ssize_t n =
+      ::read(wakeup_fd_.get(), &counter, sizeof(counter));
 }
 
 Status UserEventSource::poll(std::vector<ReadyCallback>& out, int timeout_ms) {

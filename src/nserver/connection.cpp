@@ -93,9 +93,10 @@ void Connection::start_pipeline() {
 void Connection::resume_reading() {
   if (closed()) return;
   pipeline_active_ = false;
-  // Decode said "need more".  A non-empty in-buffer means the peer is mid-
-  // request: start the slowloris clock (once — see partial_since()).  An
-  // empty buffer means we are cleanly between requests.
+  // Decode said "need more", or a reply drained with nothing buffered.  A
+  // non-empty in-buffer means the peer is mid-request: start the slowloris
+  // clock (once — see partial_since()).  An empty buffer means we are
+  // cleanly between requests.
   if (in_.empty()) {
     partial_since_ = TimePoint{};
   } else if (partial_since_ == TimePoint{}) {
@@ -114,11 +115,18 @@ void Connection::continue_pipeline() {
     close("close-after-reply");
     return;
   }
+  // Nothing buffered: hand the token straight back to the socket, (c)→(a).
+  // Every decoder answers need-more on an empty buffer, so a Decode round
+  // trip through the processor would only come back to resume_reading().
+  if (in_.empty()) {
+    resume_reading();
+    return;
+  }
   // A request completed: whatever remains buffered is the *next* request,
   // which deserves a fresh slowloris window.
   partial_since_ = TimePoint{};
-  // More pipelined requests may already sit in the in-buffer; go around the
-  // Decode loop again before re-arming the socket.
+  // Pipelined requests already sit in the in-buffer; go around the Decode
+  // loop again before re-arming the socket.
   pipeline_active_ = true;
   if (server_.options_.profiling) trace_.begin_request(trace_now_us());
   server_.submit_decode(shared_from_this());
@@ -225,7 +233,7 @@ void Connection::update_interest() {
   reactor_.update_interest(socket_.fd(), interest);
 }
 
-void Connection::close(const std::string& reason) {
+void Connection::close(const char* reason) {
   bool expected = false;
   if (!closed_.compare_exchange_strong(expected, true)) return;
   if (registered_) {
@@ -233,7 +241,7 @@ void Connection::close(const std::string& reason) {
     registered_ = false;
   }
   socket_.close();
-  server_.note_event(EventKind::kShutdown, id_, reason.c_str());
+  server_.note_event(EventKind::kShutdown, id_, reason);
   server_.remove_connection(*this);
 }
 

@@ -13,6 +13,8 @@
 //   (c) a reply is draining through the out buffer.
 // The token passes (a)→(b) on read, (b)→(c) on reply, (c)→(b) after the
 // reply drains (pipelined requests) or (c)→(a) when the in-buffer is empty.
+// The (c)→(a) step stays on the reactor: no Decode event is queued for an
+// empty buffer.
 #pragma once
 
 #include <atomic>
@@ -54,11 +56,12 @@ class Connection : public net::EventHandler,
   // Thin forwarding overload for callers holding flat bytes (greetings,
   // raw sends); the string is moved, never copied, into the queue.
   void queue_send(std::string bytes, bool completes_request);
-  // Re-arms read interest (decode needs more data).
+  // Re-arms read interest (decode needs more data, or nothing is buffered
+  // after a reply).
   void resume_reading();
   // Continues the pipeline without sending (finish()-style resolutions).
   void continue_pipeline();
-  void close(const std::string& reason);
+  void close(const char* reason);
 
   // ---- accessors ---------------------------------------------------------
   [[nodiscard]] uint64_t id() const { return id_; }
@@ -108,8 +111,10 @@ class Connection : public net::EventHandler,
     requests_total_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // The decode buffer; touched by the reactor only while the pipeline is
-  // inactive, and by the worker only while it is active.
+  // The decode buffer.  The reactor owns it while the pipeline is inactive
+  // and while a completed reply drains (token state (c): it reads in_ to
+  // choose between the next Decode and re-arming the socket); a worker owns
+  // it while a Decode or Handle event holds the token.
   ByteBuffer& in_buffer() { return in_; }
 
   void set_close_after_reply() { close_after_reply_ = true; }

@@ -492,11 +492,9 @@ void Server::run_decode(const std::shared_ptr<Connection>& conn) {
     }
   } else {
     // Fig. 2 variant: no Decode step — raw chunks go straight to Handle.
-    if (conn->in_buffer().empty()) {
-      result = DecodeResult::need_more();
-    } else {
-      result = DecodeResult::request_ready(conn->in_buffer().take_string());
-    }
+    // The chunk is never empty: Decode runs only after a read delivered
+    // bytes or with bytes left over (Connection::continue_pipeline).
+    result = DecodeResult::request_ready(conn->in_buffer().take_string());
   }
 
   switch (result.status) {

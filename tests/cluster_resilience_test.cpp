@@ -693,6 +693,59 @@ TEST(ServerLimitsSimTest, SlowlorisHeaderTimeoutReapsStalledConnection) {
   server.stop();
 }
 
+TEST(ServerLimitsSimTest, PartialRequestAfterKeepAliveReplyIsReaped) {
+  // The first request itself arrives in two pieces, so the slowloris clock
+  // starts at 1ms and must be cleared when its reply drains.  A partial
+  // request at 900ms then gets a fresh 1s window: not reaped by 1.5s (a
+  // stale 1ms stamp would reap at the 1.2s tick), reaped by 2.5s (a clock
+  // that never started would not reap at all).
+  SimEngine engine(0x51e);
+  test::TempDir docs;
+  docs.write_file("index.html", "<html>again</html>");
+
+  auto options = CopsHttpServer::default_options();
+  simnet::make_deterministic(options);
+  options.listen_port = kBackendPortBase;
+  options.profiling = true;
+  options.header_read_timeout = std::chrono::seconds(1);
+  options.housekeeping_interval = std::chrono::milliseconds(200);
+  HttpServerConfig config;
+  config.doc_root = docs.str();
+  CopsHttpServer server(std::move(options), config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  auto* client = engine.new_client();
+  engine.at(std::chrono::milliseconds(1), [&] {
+    client->connect(kBackendPortBase);
+    client->send("GET /index.html HTTP/1.1\r\nHo");
+  });
+  engine.at(std::chrono::milliseconds(300), [&] {
+    client->send("st: c\r\nConnection: keep-alive\r\n\r\n");
+  });
+  bool replied_before_partial = false;
+  engine.at(std::chrono::milliseconds(900), [&] {
+    replied_before_partial =
+        client->received().find("HTTP/1.1 200 OK") != std::string::npos;
+    client->send("GET /index.html HTTP/1.1\r\n");  // never finished
+  });
+  bool alive_at_1500 = false;
+  engine.at(std::chrono::milliseconds(1500),
+            [&] { alive_at_1500 = !client->peer_closed(); });
+  bool closed_at_2500 = false;
+  engine.at(std::chrono::milliseconds(2500),
+            [&] { closed_at_2500 = client->peer_closed(); });
+
+  ASSERT_TRUE(engine.run(std::chrono::seconds(5)))
+      << seed_note(engine) << "\n" << engine.trace_text();
+
+  EXPECT_TRUE(replied_before_partial) << engine.trace_text();
+  EXPECT_TRUE(alive_at_1500)
+      << "header deadline measured from the previous request's first byte";
+  EXPECT_TRUE(closed_at_2500) << "partial request after a reply never reaped";
+  EXPECT_EQ(server.server().profile().header_timeouts, 1u);
+  server.stop();
+}
+
 TEST(ServerLimitsSimTest, HeaderTimeoutFiresOnVirtualClockSchedule) {
   // Determinism spot-check: the reap lands at the first housekeeping tick
   // after the deadline, on the virtual clock — run twice, identical traces.

@@ -17,6 +17,7 @@ class ProbeHooks : public AppHooks {
  public:
   std::atomic<int> connects{0};
   std::atomic<int> closes{0};
+  std::atomic<int> decoded{0};  // every decode() call, need-more included
   std::atomic<int> handled{0};
   std::atomic<int> encoded{0};
   // When set, handle() resolves with finish() instead of replying.
@@ -34,6 +35,7 @@ class ProbeHooks : public AppHooks {
   void on_close(uint64_t) override { closes.fetch_add(1); }
 
   DecodeResult decode(RequestContext&, ByteBuffer& in) override {
+    decoded.fetch_add(1);
     const size_t eol = in.find("\n");
     if (eol == std::string_view::npos) return DecodeResult::need_more();
     std::string line(in.view().substr(0, eol));
@@ -431,6 +433,82 @@ TEST_F(PipelineFixture, DrainOnIdleServerIsImmediate) {
   const auto begin = now();
   EXPECT_TRUE(server_->drain(std::chrono::seconds(5)));
   EXPECT_LT(to_millis(now() - begin), 1000);
+}
+
+TEST_F(PipelineFixture, DrainRightAfterServedRequestIsImmediate) {
+  start();
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+  client.read_until("HELLO\n");
+  client.send_all("one\n");
+  ASSERT_NE(client.read_until("ECHO:one\n").find("ECHO:one"),
+            std::string::npos);
+  const auto begin = now();
+  EXPECT_TRUE(server_->drain(std::chrono::seconds(5)));
+  EXPECT_LT(to_millis(now() - begin), 1000);
+}
+
+TEST_F(PipelineFixture, NoCodecKeepAliveHandlesEachChunkOnce) {
+  // Fig. 2 (O3 = No): raw chunks go straight to handle(), which replies
+  // with wire bytes; the connection keeps serving after each reply.
+  ServerOptions options;
+  options.encode_decode = false;
+  start(options);
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+  client.read_until("HELLO\n");
+  for (const std::string line : {"a\n", "bb\n", "ccc\n"}) {
+    client.send_all(line);
+    EXPECT_EQ(client.read_until("ECHO:" + line), "ECHO:" + line);
+  }
+  ASSERT_TRUE(server_->drain(std::chrono::seconds(5)));
+  EXPECT_EQ(hooks_->handled.load(), 3);
+  EXPECT_EQ(hooks_->decoded.load(), 0);
+  EXPECT_EQ(hooks_->encoded.load(), 0);
+}
+
+// ---- decode-count gates (perf-smoke) -----------------------------------------
+// After a reply drains with nothing buffered, the connection goes straight
+// back to reading: decode() runs once per request, never on an empty buffer.
+// drain() returns only once every pipeline is inactive and the processor
+// queue is empty, so the counts below are final when it returns.
+
+class PipelineDecodeCount : public PipelineFixture {};
+
+TEST_F(PipelineDecodeCount, SequentialKeepAliveDecodesOncePerRequest) {
+  start();
+  constexpr int kRequests = 20;
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+  client.read_until("HELLO\n");
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string line = "req" + std::to_string(i);
+    client.send_all(line + "\n");
+    const std::string echo = "ECHO:" + line + "\n";
+    ASSERT_NE(client.read_until(echo).find(echo), std::string::npos);
+  }
+  ASSERT_TRUE(server_->drain(std::chrono::seconds(5)));
+  EXPECT_EQ(hooks_->handled.load(), kRequests);
+  EXPECT_EQ(hooks_->decoded.load(), kRequests);
+}
+
+TEST_F(PipelineDecodeCount, PipelinedBurstDecodesOncePerRequest) {
+  start();
+  constexpr int kRequests = 10;
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+  client.read_until("HELLO\n");
+  std::string burst;
+  std::string expected;
+  for (int i = 0; i < kRequests; ++i) {
+    burst += "p" + std::to_string(i) + "\n";
+    expected += "ECHO:p" + std::to_string(i) + "\n";
+  }
+  client.send_all(burst);  // one write: every line lands in one read
+  const std::string last = "ECHO:p" + std::to_string(kRequests - 1) + "\n";
+  EXPECT_EQ(client.read_until(last), expected);
+  ASSERT_TRUE(server_->drain(std::chrono::seconds(5)));
+  EXPECT_EQ(hooks_->decoded.load(), kRequests);
 }
 
 // ---- multi-dispatcher (O1) stress --------------------------------------------------
