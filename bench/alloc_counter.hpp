@@ -10,6 +10,9 @@
 // The counters are thread-local on purpose: the measured decode loops are
 // single-threaded, and thread-locality means background threads (none in
 // the benches, but cheap insurance) cannot pollute a measurement window.
+// Only the owning thread writes its counters, with relaxed atomic stores
+// (plain stores on x86), so another thread may sum them while they change
+// by reading each word with __atomic_load_n(..., __ATOMIC_RELAXED).
 #pragma once
 
 #include <cstddef>
@@ -25,7 +28,11 @@ struct AllocCounters {
 // This thread's live counters (zero-initialised on first use).
 AllocCounters& alloc_counters();
 
-inline void reset_alloc_counters() { alloc_counters() = AllocCounters{}; }
+inline void reset_alloc_counters() {
+  auto& c = alloc_counters();
+  __atomic_store_n(&c.count, uint64_t{0}, __ATOMIC_RELAXED);
+  __atomic_store_n(&c.bytes, uint64_t{0}, __ATOMIC_RELAXED);
+}
 
 }  // namespace cops::bench
 
@@ -50,18 +57,20 @@ AllocCounters& alloc_counters() {
 
 namespace alloc_counter_detail {
 
-inline void* counted_alloc(std::size_t size) {
+inline void count_alloc(std::size_t size) {
   auto& c = alloc_counters();
-  c.count += 1;
-  c.bytes += size;
+  __atomic_store_n(&c.count, c.count + 1, __ATOMIC_RELAXED);
+  __atomic_store_n(&c.bytes, c.bytes + size, __ATOMIC_RELAXED);
+}
+
+inline void* counted_alloc(std::size_t size) {
+  count_alloc(size);
   // malloc(0) may return nullptr legally; operator new must not.
   return std::malloc(size == 0 ? 1 : size);
 }
 
 inline void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  auto& c = alloc_counters();
-  c.count += 1;
-  c.bytes += size;
+  count_alloc(size);
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
                      size == 0 ? 1 : size) != 0) {

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "http/http_server.hpp"
-#include "net/uring.hpp"
 
 namespace {
 
@@ -28,17 +27,8 @@ void usage() {
       "          [--send-path copy|writev|sendfile] [--sendfile-min BYTES]\n"
       "          [--body-framing content_length|chunked] [--chunked-min BYTES]\n"
       "          [--accept-path dispatch|reuseport] [--backlog N]\n"
-      "          [--io-backend epoll|io_uring]\n"
       "          [--l1-entries N] [--l1-max-bytes BYTES]\n"
-      "          [--admin] [--admin-port N] [--run-seconds N] [--version]");
-}
-
-void print_version() {
-  std::printf("cops_http (N-Server pattern instance)\n");
-  std::printf("io_uring backend: %s, runtime probe: %s\n",
-              cops::net::uring_compiled() ? "compiled in (COPS_WITH_LIBURING)"
-                                          : "compiled out",
-              cops::net::uring_available() ? "available" : "unavailable");
+      "          [--admin] [--admin-port N] [--run-seconds N]");
 }
 
 cops::nserver::CachePolicyKind parse_cache(const std::string& name) {
@@ -132,15 +122,6 @@ int main(int argc, char** argv) {
       options.accept_path = std::string(next()) == "reuseport"
                                 ? cops::nserver::AcceptPath::kReuseport
                                 : cops::nserver::AcceptPath::kDispatch;
-    } else if (arg == "--io-backend") {
-      // S7: completion-driven io_uring reactors vs the classic epoll loop.
-      // io_uring silently degrades to epoll when the kernel probe fails.
-      options.io_backend = std::string(next()) == "io_uring"
-                               ? cops::nserver::IoBackend::kIoUring
-                               : cops::nserver::IoBackend::kEpoll;
-    } else if (arg == "--version") {
-      print_version();
-      return 0;
     } else if (arg == "--backlog") {
       options.listen_backlog = std::atoi(next());
     } else if (arg == "--l1-entries") {
@@ -170,10 +151,6 @@ int main(int argc, char** argv) {
   }
   std::printf("COPS-HTTP listening on 127.0.0.1:%u (doc root %s)\n",
               server.port(), config.doc_root.c_str());
-  if (options.io_backend == cops::nserver::IoBackend::kIoUring) {
-    std::printf("io backend: %s\n",
-                cops::nserver::to_string(server.server().effective_io_backend()));
-  }
   if (server.admin_port() != 0) {
     std::printf("admin endpoint at http://%s:%u/stats\n",
                 options.admin_host.c_str(), server.admin_port());

@@ -5,9 +5,6 @@
 #include <array>
 #include <cerrno>
 
-#include "common/logging.hpp"
-#include "net/uring.hpp"
-
 namespace cops::net {
 namespace {
 
@@ -28,23 +25,13 @@ uint32_t from_epoll(uint32_t ev) {
 
 }  // namespace
 
-Poller::Poller(PollBackend backend) {
-  if (backend == PollBackend::kUring) {
-    uring_ = UringPoller::create();
-    if (uring_ != nullptr) return;
-    COPS_WARN("io_uring backend unavailable; falling back to epoll");
-  }
-  // EPOLL_CLOEXEC: the demultiplexer must not leak into forked helpers.
-  epoll_fd_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
-}
-
-Poller::~Poller() = default;
+// EPOLL_CLOEXEC: the demultiplexer must not leak into forked helpers.
+Poller::Poller() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
 
 Status Poller::add(int fd, uint32_t interest) {
   if (is_sim_fd(fd)) [[unlikely]] {
     return sim_backend()->sim_poll_add(this, fd, interest);
   }
-  if (uring_ != nullptr) return uring_->add(fd, interest);
   epoll_event ev{};
   ev.events = to_epoll(interest);
   ev.data.fd = fd;
@@ -58,7 +45,6 @@ Status Poller::modify(int fd, uint32_t interest) {
   if (is_sim_fd(fd)) [[unlikely]] {
     return sim_backend()->sim_poll_modify(this, fd, interest);
   }
-  if (uring_ != nullptr) return uring_->modify(fd, interest);
   epoll_event ev{};
   ev.events = to_epoll(interest);
   ev.data.fd = fd;
@@ -72,7 +58,6 @@ Status Poller::remove(int fd) {
   if (is_sim_fd(fd)) [[unlikely]] {
     return sim_backend()->sim_poll_remove(this, fd);
   }
-  if (uring_ != nullptr) return uring_->remove(fd);
   if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr) < 0) {
     return Status::from_errno("epoll_ctl(DEL)");
   }
@@ -83,12 +68,10 @@ Result<size_t> Poller::wait(std::vector<ReadyFd>& out, int timeout_ms) {
   // While a simulation backend is installed the wait is answered entirely
   // from the simulator: virtual time advances instead of sleeping, and the
   // few real fds in the set (the reactor's wakeup eventfd) are covered by
-  // the UserEventSource's queue-length timeout logic.  This check precedes
-  // the backend split so every chaos plan applies identically to both.
+  // the UserEventSource's queue-length timeout logic.
   if (auto* sim = sim_backend(); sim != nullptr) [[unlikely]] {
     return sim->sim_poll_wait(this, out, timeout_ms);
   }
-  if (uring_ != nullptr) return uring_->wait(out, timeout_ms);
   std::array<epoll_event, 256> events;  // NOLINT
   const int n =
       ::epoll_wait(epoll_fd_.get(), events.data(),

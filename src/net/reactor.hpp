@@ -22,9 +22,7 @@ namespace cops::net {
 
 class Reactor {
  public:
-  // `backend` selects the kernel demultiplexer (option S7, io_backend);
-  // kUring silently degrades to epoll when the capability probe fails.
-  explicit Reactor(PollBackend backend = PollBackend::kEpoll);
+  Reactor();
   ~Reactor();
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
@@ -70,8 +68,6 @@ class Reactor {
   [[nodiscard]] uint64_t events_dispatched() const {
     return events_dispatched_.load();
   }
-  // The backend actually driving the loop (kEpoll after a failed probe).
-  [[nodiscard]] PollBackend poll_backend() const { return poll_backend_; }
 
  private:
   // Decorator chain: UserEventSource( TimerEventSource( SocketEventSource )).
@@ -79,7 +75,6 @@ class Reactor {
   TimerEventSource* timers_ = nullptr;     // borrowed from the chain
   UserEventSource* user_events_ = nullptr; // borrowed from the chain
 
-  PollBackend poll_backend_ = PollBackend::kEpoll;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::thread::id> loop_thread_id_{};

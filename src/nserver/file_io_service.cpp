@@ -6,8 +6,6 @@
 
 #include <cerrno>
 
-#include "nserver/uring_file_engine.hpp"
-
 namespace cops::nserver {
 
 namespace {
@@ -22,30 +20,20 @@ void FileIoService::set_test_pre_open_hook(
   pre_open_hook() = std::move(hook);
 }
 
-namespace detail {
-void invoke_test_pre_open_hook(const std::string& path) {
-  if (pre_open_hook()) pre_open_hook()(path);
-}
-}  // namespace detail
-
 FileData::~FileData() {
   if (fd >= 0) ::close(fd);
 }
 
-FileIoService::FileIoService(size_t threads, bool use_uring)
-    : pool_(threads) {
-  if (use_uring) engine_ = UringFileEngine::create();
-}
+FileIoService::FileIoService(size_t threads) : pool_(threads) {}
 
 FileIoService::~FileIoService() { stop(); }
 
 void FileIoService::stop() {
-  if (engine_) engine_->stop();
   pool_.stop();
 }
 
 size_t FileIoService::pending() const {
-  return engine_ ? engine_->pending() : pool_.queue_depth();
+  return pool_.queue_depth();
 }
 
 Result<FileDataPtr> FileIoService::read_file(const std::string& path) {
@@ -58,7 +46,7 @@ Result<FileDataPtr> FileIoService::load_file(const std::string& path,
   // existence, type, size, mtime, bytes — from that one descriptor.  The
   // old stat-then-open shape could serve file B's bytes with file A's
   // size/mtime when the path was swapped between the two calls.
-  detail::invoke_test_pre_open_hook(path);
+  if (pre_open_hook()) pre_open_hook()(path);
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT || errno == ENOTDIR) return Status::not_found(path);
@@ -114,22 +102,6 @@ void FileIoService::async_load(std::string path, FileLoadOptions load,
                                CompletionToken token, FileCallback callback,
                                CompletionExecutor executor) {
   (void)token;  // carried by the caller's closure; see header
-  if (engine_) {
-    // Proactor proper: the kernel does the read (IORING_OP_READ) and the
-    // completion re-enters the event flow through the same executor the
-    // pool path uses.
-    engine_->submit(std::move(path), load,
-                    [this, callback = std::move(callback),
-                     executor = std::move(executor)](
-                        Result<FileDataPtr> result) mutable {
-                      completed_.fetch_add(1, std::memory_order_relaxed);
-                      executor([callback = std::move(callback),
-                                result = std::move(result)] {
-                        callback(result);
-                      });
-                    });
-    return;
-  }
   pool_.submit([this, path = std::move(path), load,
                 callback = std::move(callback),
                 executor = std::move(executor)]() mutable {

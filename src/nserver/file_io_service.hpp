@@ -22,8 +22,6 @@
 
 namespace cops::nserver {
 
-class UringFileEngine;
-
 // An open-and-read file snapshot ("File Handle" + contents in one immutable
 // object; shared by the cache and in-flight replies).  On the sendfile send
 // path a large uncached file is *opened*, not read: `fd` then holds the
@@ -59,11 +57,7 @@ using CompletionExecutor = std::function<void(std::function<void()>)>;
 
 class FileIoService {
  public:
-  // `use_uring` routes async loads through a UringFileEngine (one ring +
-  // one engine thread doing IORING_OP_READ / READ_FIXED) instead of the
-  // blocking-read thread pool.  Silently degrades to the pool when the
-  // backend is compiled out or the runtime probe fails.
-  explicit FileIoService(size_t threads, bool use_uring = false);
+  explicit FileIoService(size_t threads);
   ~FileIoService();
 
   // Blocking read of a whole file (used in synchronous completion mode O4,
@@ -89,26 +83,16 @@ class FileIoService {
 
   [[nodiscard]] size_t pending() const;
   [[nodiscard]] uint64_t completed() const { return completed_.load(); }
-  // True when async loads run on the io_uring engine (requested and the
-  // runtime probe passed).
-  [[nodiscard]] bool using_uring() const { return engine_ != nullptr; }
-  [[nodiscard]] UringFileEngine* uring_engine() { return engine_.get(); }
 
-  // Test hook: runs just before load_file's ::open (both the blocking path
-  // and the uring engine), after any metadata decision could have been made
-  // from a *different* file.  The TOCTOU regression test swaps the file out
-  // here and asserts the served bytes and mtime still agree.
+  // Test hook: runs just before load_file's ::open, after any metadata
+  // decision could have been made from a *different* file.  The TOCTOU
+  // regression test swaps the file out here and asserts the served bytes
+  // and mtime still agree.
   static void set_test_pre_open_hook(std::function<void(const std::string&)>);
 
  private:
   ThreadPool pool_;
-  std::unique_ptr<UringFileEngine> engine_;
   std::atomic<uint64_t> completed_{0};
 };
-
-namespace detail {
-// Invokes the FileIoService test pre-open hook (no-op when unset).
-void invoke_test_pre_open_hook(const std::string& path);
-}  // namespace detail
 
 }  // namespace cops::nserver

@@ -60,10 +60,6 @@ const char* to_string(AcceptPath path) {
   return path == AcceptPath::kDispatch ? "Dispatch" : "Reuseport";
 }
 
-const char* to_string(IoBackend backend) {
-  return backend == IoBackend::kEpoll ? "Epoll" : "IoUring";
-}
-
 std::string ServerOptions::validate() const {
   if (dispatcher_threads < 1) {
     return "O1: dispatcher_threads must be >= 1";

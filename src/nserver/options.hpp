@@ -129,23 +129,6 @@ enum class AcceptPath {
   kReuseport,
 };
 
-// I/O-backend option (S7, appended after accept_path to preserve the
-// paper's option numbering): which kernel event-notification machinery
-// drives the Reactors.  kEpoll is the classic readiness loop (level-
-// triggered epoll, unchanged default).  kIoUring swaps the Poller for a
-// completion-driven io_uring backend — poll re-arms ride the batched SQE
-// submission inside the reactor tick instead of costing epoll_ctl syscalls,
-// listeners use multishot IORING_OP_ACCEPT, socket I/O routes through
-// per-thread rings, and FileIoService's thread-pool emulation becomes a
-// real kernel Proactor (IORING_OP_READ into registered buffers).  Requested
-// io_uring degrades to epoll when the build disables COPS_WITH_LIBURING or
-// the runtime probe fails (old kernel, seccomp) — see
-// Server::effective_io_backend().
-enum class IoBackend {
-  kEpoll,
-  kIoUring,
-};
-
 [[nodiscard]] const char* to_string(CompletionMode mode);
 [[nodiscard]] const char* to_string(ThreadAllocation alloc);
 [[nodiscard]] const char* to_string(CachePolicyKind kind);
@@ -157,7 +140,6 @@ enum class IoBackend {
 [[nodiscard]] const char* to_string(UpstreamMode mode);
 [[nodiscard]] const char* to_string(OverloadMode mode);
 [[nodiscard]] const char* to_string(AcceptPath path);
-[[nodiscard]] const char* to_string(IoBackend backend);
 
 struct ServerOptions {
   // O1: # of dispatcher threads (1, or 2..N reactors sharding connections).
@@ -311,10 +293,6 @@ struct ServerOptions {
   // Entries larger than this stay L2-only (keeps the L1's byte bound tight
   // while the big files still enjoy the policy cache).
   size_t cache_l1_entry_max_bytes = 256 * 1024;
-
-  // I/O-backend option (S7, appended after accept_path).  See enum
-  // IoBackend.
-  IoBackend io_backend = IoBackend::kEpoll;
 
   // --- non-option runtime knobs -----------------------------------------
   std::string listen_host = "127.0.0.1";

@@ -69,12 +69,6 @@ class Server {
   // The admin endpoint's bound port (O11+); 0 unless stats_export is on.
   [[nodiscard]] uint16_t admin_port() const { return admin_port_; }
   [[nodiscard]] const ServerOptions& options() const { return options_; }
-  // The I/O backend actually in effect: options().io_backend unless
-  // io_uring was requested but unavailable (compiled out, old kernel) —
-  // then the server degrades to epoll and reports it here.
-  [[nodiscard]] IoBackend effective_io_backend() const {
-    return io_backend_effective_;
-  }
   [[nodiscard]] size_t connection_count() const { return num_connections_; }
   [[nodiscard]] bool accepting() const { return !accept_suspended_; }
   // True once drain() has begun (and until stop completes); /healthz
@@ -239,11 +233,6 @@ class Server {
 
   uint16_t port_ = 0;
   uint16_t admin_port_ = 0;
-  // S7 backend after the availability probe (see effective_io_backend()).
-  IoBackend io_backend_effective_ = IoBackend::kEpoll;
-  // This instance flipped the process-wide sync-over-ring socket-op switch
-  // (balanced in stop()).
-  bool uring_ops_on_ = false;
   std::atomic<uint64_t> next_conn_id_{1};
   std::atomic<size_t> num_connections_{0};
   std::atomic<size_t> next_shard_{0};

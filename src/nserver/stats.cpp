@@ -26,6 +26,8 @@ void append_gauge_f(std::string& out, const char* name, const char* help,
 
 // One Prometheus histogram family with a `stage` label per stage.  Bucket
 // bounds are the log2-microsecond bucket uppers, expressed in seconds.
+// Every bound is emitted on every scrape, empty or not: rate() and
+// histogram_quantile() match series across scrapes by their `le` label.
 void append_stage_histograms(std::string& out,
                              const std::array<Histogram, kStageCount>& stages) {
   const char* name = "nserver_stage_latency_seconds";
@@ -36,17 +38,9 @@ void append_stage_histograms(std::string& out,
     const char* stage = to_string(static_cast<Stage>(s));
     const Histogram& h = stages[s];
     uint64_t cumulative = 0;
-    int64_t prev_upper = -1;
     for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-      const uint64_t in_bucket = h.bucket_count(b);
-      cumulative += in_bucket;
+      cumulative += h.bucket_count(b);
       const int64_t upper = Histogram::bucket_upper_micros(b);
-      // Log2 buckets repeat the upper bound at the low end (1us); emit each
-      // distinct bound once, and skip empty interior ones to keep the
-      // exposition small (cumulative counts stay correct).
-      if (upper == prev_upper) continue;
-      prev_upper = upper;
-      if (in_bucket == 0 && b + 1 < Histogram::kNumBuckets) continue;
       std::snprintf(buf, sizeof(buf), "%s_bucket{stage=\"%s\",le=\"%.6f\"} %" PRIu64
                     "\n",
                     name, stage, static_cast<double>(upper) / 1e6, cumulative);

@@ -2,6 +2,7 @@
 // server with stats_export enabled, scraped over the second listener.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -131,6 +132,60 @@ TEST_F(AdminFixture, StatsCountersMatchScriptedWorkload) {
         << stage;
   }
   EXPECT_NE(body.find("le=\"+Inf\""), std::string::npos);
+}
+
+// The `le` bounds and cumulative counts of one stage's histogram, in
+// exposition order.
+struct BucketSeries {
+  std::vector<std::string> bounds;
+  std::vector<uint64_t> cumulative;
+};
+
+BucketSeries stage_buckets(const std::string& text, const std::string& stage) {
+  const std::string prefix =
+      "nserver_stage_latency_seconds_bucket{stage=\"" + stage + "\",le=\"";
+  BucketSeries series;
+  for (size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    const size_t le_begin = at + prefix.size();
+    const size_t le_end = text.find('"', le_begin);
+    series.bounds.push_back(text.substr(le_begin, le_end - le_begin));
+    series.cumulative.push_back(
+        std::strtoull(text.c_str() + text.find("} ", le_end) + 2, nullptr, 10));
+  }
+  return series;
+}
+
+TEST(StageHistogramExport, BucketBoundsAreFixedAcrossScrapes) {
+  // Two scrapes with different bucket fills must expose the same ordered
+  // `le` set, or rate()/histogram_quantile() cannot match series across
+  // them.
+  nserver::StatsSnapshot sparse;
+  sparse.counters.stages[0].record(3);
+  sparse.counters.stages[0].record(5000);
+  nserver::StatsSnapshot dense;
+  for (int64_t micros = 1; micros < 2'000'000; micros = micros * 3 + 1) {
+    for (auto& stage : dense.counters.stages) stage.record(micros);
+  }
+  const std::string a = nserver::render_prometheus(sparse);
+  const std::string b = nserver::render_prometheus(dense);
+  for (size_t s = 0; s < nserver::kStageCount; ++s) {
+    const std::string stage = nserver::to_string(static_cast<nserver::Stage>(s));
+    const BucketSeries first = stage_buckets(a, stage);
+    const BucketSeries second = stage_buckets(b, stage);
+    ASSERT_EQ(first.bounds.size(),
+              static_cast<size_t>(Histogram::kNumBuckets) + 1)
+        << stage;
+    EXPECT_EQ(first.bounds, second.bounds) << stage;
+    EXPECT_EQ(first.bounds.back(), "+Inf") << stage;
+    for (const BucketSeries* series : {&first, &second}) {
+      EXPECT_TRUE(std::is_sorted(series->cumulative.begin(),
+                                 series->cumulative.end()))
+          << stage;
+    }
+    EXPECT_EQ(first.cumulative.back(), sparse.counters.stages[s].count());
+    EXPECT_EQ(second.cumulative.back(), dense.counters.stages[s].count());
+  }
 }
 
 TEST_F(AdminFixture, StatsJsonAndPerConnectionGauges) {

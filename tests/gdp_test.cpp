@@ -681,58 +681,6 @@ TEST(NServerTemplate, AcceptPathAppendsWithoutRenumbering) {
   EXPECT_LT(overload_row, accept_row) << "accept_path must append after S5";
 }
 
-TEST(NServerTemplate, IoBackendOptionCrosscutsGeneratedUnits) {
-  const auto tmpl = make_nserver_template();
-  // Both presets default to epoll (the reactive paper servers are
-  // untouched); flipping to io_uring emits the io_config unit and wires
-  // the backend choice into the traits and the options block.
-  auto epoll_set = nserver_http_options();
-  auto uring_set = epoll_set;
-  uring_set.set("io_backend", "io_uring");
-  auto off = tmpl.render_all(epoll_set,
-                             {{"app_name", "A"}, {"listen_port", "0"}});
-  auto on = tmpl.render_all(uring_set,
-                            {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(off.is_ok());
-  ASSERT_TRUE(on.is_ok());
-  EXPECT_TRUE(on.value().count("io_config.hpp"));
-  EXPECT_FALSE(off.value().count("io_config.hpp"));
-  EXPECT_NE(on.value().at("traits.hpp").find("kUringBackend = true"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("traits.hpp").find("kUringBackend = false"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("IoBackend::kIoUring"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("server_main.cpp").find("IoBackend::kEpoll"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("io_config.hpp").find("kIoUringRequested"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("io_config.hpp").find("kUringFileSlabBytes"),
-            std::string::npos);
-  // Both shipped presets stay on epoll.
-  EXPECT_EQ(nserver_http_options().get("io_backend"), "epoll");
-  EXPECT_EQ(nserver_ftp_options().get("io_backend"), "epoll");
-}
-
-TEST(NServerTemplate, IoBackendAppendsWithoutRenumbering) {
-  // io_backend joins Table 2 as its own column while everything already
-  // there stays put; in the README option table it rows after accept_path.
-  const auto tmpl = make_nserver_template();
-  auto matrix = tmpl.crosscut();
-  ASSERT_TRUE(matrix.is_ok());
-  EXPECT_TRUE(matrix.value().at("I/O Backend").at("io_backend").existence);
-  EXPECT_TRUE(matrix.value().at("Shard Accept").at("accept_path").existence);
-  auto rendered = tmpl.render_all(nserver_http_options(),
-                                  {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(rendered.is_ok());
-  const auto& readme = rendered.value().at("README.md");
-  const size_t accept_row = readme.find("S6 accept path");
-  const size_t io_row = readme.find("S7 io backend");
-  ASSERT_NE(accept_row, std::string::npos);
-  ASSERT_NE(io_row, std::string::npos);
-  EXPECT_LT(accept_row, io_row) << "io_backend must append after S6";
-}
-
 TEST(NServerTemplate, ConstraintRejectsAdaptiveOverloadWithoutO9) {
   const auto tmpl = make_nserver_template();
   auto bad = nserver_http_options();

@@ -386,7 +386,7 @@ TEST(ModelProxyTest, DrainBackendEmptiesPoolWithoutKillingInFlightStreams) {
   ASSERT_TRUE(proxy.start().is_ok());
 
   auto* in_flight = engine.new_client();
-  auto* during_drain = engine.new_client();
+  auto* mid_drain = engine.new_client();
   auto* after_undrain = engine.new_client();
   engine.at(std::chrono::milliseconds(5), [in_flight] {
     in_flight->connect(kProxyPort);
@@ -395,9 +395,9 @@ TEST(ModelProxyTest, DrainBackendEmptiesPoolWithoutKillingInFlightStreams) {
   // Drain while backend 0 still owes ~2KB of body.
   engine.at(std::chrono::milliseconds(100),
             [&proxy] { proxy.drain_backend(0); });
-  engine.at(std::chrono::milliseconds(150), [during_drain] {
-    during_drain->connect(kProxyPort);
-    during_drain->send(get_close("/fast"));  // must route to backend 1
+  engine.at(std::chrono::milliseconds(150), [mid_drain] {
+    mid_drain->connect(kProxyPort);
+    mid_drain->send(get_close("/fast"));  // must route to backend 1
   });
   engine.at(std::chrono::milliseconds(500),
             [&proxy] { proxy.drain_backend(0, false); });
@@ -411,7 +411,7 @@ TEST(ModelProxyTest, DrainBackendEmptiesPoolWithoutKillingInFlightStreams) {
   EXPECT_NE(in_flight->received().find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(in_flight->received().find(slow_body), std::string::npos)
       << "drain truncated an in-flight stream";
-  EXPECT_NE(during_drain->received().find("fast"), std::string::npos);
+  EXPECT_NE(mid_drain->received().find("fast"), std::string::npos);
   EXPECT_NE(after_undrain->received().find("HTTP/1.1 200 OK"),
             std::string::npos);
 

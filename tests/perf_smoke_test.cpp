@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/io_backend_harness.hpp"
 #include "bench/overload_harness.hpp"
 #include "bench/scaleout_harness.hpp"
 #include "bench/send_path_harness.hpp"
@@ -153,71 +152,6 @@ TEST(PerfSmokeTest, ScaleoutQuickRunEmitsValidJson) {
   std::ofstream out(out_path, std::ios::trunc);
   out << json;
   EXPECT_TRUE(out.good()) << "could not write " << out_path;
-}
-
-// The invariants behind the committed BENCH_io_backend.json, at smoke
-// scale.  Real time again: the subject is the syscall path itself.  On a
-// kernel without a usable io_uring the uring row records the graceful
-// fallback (effective=false) and still serves — the schema is identical
-// either way, so the gate runs everywhere.
-TEST(PerfSmokeTest, IoBackendQuickRunEmitsValidJson) {
-  auto config = io_backend_quick_config(std::string(COPS_BINARY_DIR) +
-                                        "/perf_smoke_io_backend_docroot");
-  ASSERT_TRUE(make_io_backend_docroot(config));
-
-  std::vector<IoBackendRow> rows;
-  rows.push_back(run_io_backend_point(config, "epoll"));
-  rows.push_back(run_io_backend_point(config, "io_uring"));
-  const uint64_t expected =
-      static_cast<uint64_t>(config.connections) *
-      static_cast<uint64_t>(config.warmup_requests +
-                            config.requests_per_connection);
-  for (const auto& row : rows) {
-    EXPECT_EQ(row.errors, 0u) << row.backend;
-    EXPECT_EQ(row.requests, expected) << row.backend;
-  }
-  // The epoll row always runs on epoll; the uring row honours the probe.
-  EXPECT_TRUE(rows[0].effective);
-  EXPECT_EQ(rows[1].effective, net::uring_available());
-
-  const std::string json =
-      io_backend_rows_to_json(config, rows, /*quick=*/true);
-  std::string error;
-  EXPECT_TRUE(validate_io_backend_json(json, &error)) << error << "\n" << json;
-
-  // Malformed documents must be rejected — the gate the runner relies on.
-  EXPECT_FALSE(
-      validate_io_backend_json(json.substr(0, json.size() / 2), &error));
-  EXPECT_FALSE(validate_io_backend_json("{}", &error));
-  std::string mangled = json;
-  ASSERT_NE(mangled.find("\"p99_us\""), std::string::npos);
-  while (mangled.find("\"p99_us\"") != std::string::npos) {
-    mangled.replace(mangled.find("\"p99_us\""), 8, "\"p99_uz\"");
-  }
-  EXPECT_FALSE(validate_io_backend_json(mangled, &error));
-
-  const std::string out_path =
-      std::string(COPS_BINARY_DIR) + "/BENCH_io_backend_smoke.json";
-  std::ofstream out(out_path, std::ios::trunc);
-  out << json;
-  EXPECT_TRUE(out.good()) << "could not write " << out_path;
-}
-
-// The committed io_backend baseline: full run, both rows present.
-TEST(PerfSmokeTest, CommittedIoBackendBaselineMatchesSchema) {
-  const std::string path =
-      std::string(COPS_SOURCE_DIR) + "/BENCH_io_backend.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing committed baseline " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-
-  std::string error;
-  EXPECT_TRUE(validate_io_backend_json(json, &error)) << error;
-  EXPECT_NE(json.find("\"quick\": false"), std::string::npos);
-  EXPECT_NE(json.find("\"backend\": \"epoll\""), std::string::npos);
-  EXPECT_NE(json.find("\"backend\": \"io_uring\""), std::string::npos);
 }
 
 // The committed baseline at the repo root must satisfy the same schema the

@@ -60,9 +60,8 @@ class BlockingClient {
   }
 
   // Reads until the connection closes or `bytes` arrive (bytes=0: til EOF).
-  // EINTR is retried: a live io_uring in the process makes the kernel
-  // interrupt blocking syscalls on OTHER threads for task-work delivery,
-  // so a -1/EINTR recv here is routine, not end-of-stream.
+  // EINTR is retried: a signal delivered to this thread interrupts the
+  // blocking recv, which is not end-of-stream.
   std::string read_some(size_t bytes = 0, int timeout_ms = 2000) {
     std::string out;
     char buf[4096];
