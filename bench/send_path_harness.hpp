@@ -1,11 +1,11 @@
 // Shared machinery for the send-path benchmark (BENCH_send_path.json).
 //
-// One COPS-HTTP server per send_path mode (copy / writev / sendfile) serves
-// a cached-file-heavy workload with an occasional large sendfile-eligible
+// One COPS-HTTP server per send_path mode (writev / sendfile) serves a
+// cached-file-heavy workload with an occasional large sendfile-eligible
 // request; the profiler's send-path counters turn into per-reply figures:
 // how many reply bytes each mode materialises into owned buffers before the
-// socket sees them.  Used by both the committed-baseline runner
-// (micro_send_path) and the perf-smoke ctest.
+// socket sees them, and how many it hands to sendfile(2).  Used by both the
+// committed-baseline runner (micro_send_path) and the perf-smoke ctest.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +32,12 @@ struct SendPathRow {
   uint64_t writev_calls = 0;
 };
 
+// The gate both the baseline runner and the perf-smoke test apply: on this
+// cached-file workload the writev path copies only each reply's header block
+// (~200 B), never a body (32 KiB and up), so its bytes copied per reply must
+// stay below this bound.
+inline constexpr double kMaxWritevCopiedBytesPerReply = 1024.0;
+
 struct SendPathBenchConfig {
   std::string docroot;
   double seconds = 1.5;
@@ -39,7 +45,7 @@ struct SendPathBenchConfig {
   size_t small_files = 16;
   size_t small_file_bytes = 32 * 1024;
   // One file above the sendfile threshold: exercises the fd path in
-  // send_path=sendfile and the cache path in the other two modes.
+  // send_path=sendfile and the cache path under writev.
   size_t big_file_bytes = 1024 * 1024;
   size_t sendfile_min_bytes = 256 * 1024;
   // Every Nth request fetches the big file; the rest hit the cached set.
@@ -78,17 +84,12 @@ inline bool make_send_path_docroot(const SendPathBenchConfig& config) {
   return big.good();
 }
 
-inline nserver::SendPath parse_send_path_mode(const std::string& mode) {
-  if (mode == "copy") return nserver::SendPath::kCopy;
-  if (mode == "sendfile") return nserver::SendPath::kSendfile;
-  return nserver::SendPath::kWritev;
-}
-
 inline SendPathRow run_send_path_mode(const SendPathBenchConfig& config,
                                       const std::string& mode) {
   auto options = http::CopsHttpServer::default_options();
   options.profiling = true;
-  options.send_path = parse_send_path_mode(mode);
+  options.send_path = mode == "sendfile" ? nserver::SendPath::kSendfile
+                                         : nserver::SendPath::kWritev;
   options.sendfile_min_bytes = config.sendfile_min_bytes;
   http::HttpServerConfig server_config;
   server_config.doc_root = config.docroot;
@@ -170,7 +171,7 @@ inline std::string send_path_rows_to_json(const std::vector<SendPathRow>& rows,
 
 // Structural validation of the emitted JSON — the perf-smoke gate fails on a
 // malformed file rather than committing garbage.  Checks balanced braces and
-// brackets, the required keys, and that all three modes are present.
+// brackets, the required keys, and that both modes are present.
 inline bool validate_send_path_json(const std::string& text,
                                     std::string* error) {
   int braces = 0;
@@ -198,8 +199,8 @@ inline bool validate_send_path_json(const std::string& text,
     return false;
   }
   for (const char* key :
-       {"\"benchmark\": \"send_path\"", "\"rows\"", "\"mode\": \"copy\"",
-        "\"mode\": \"writev\"", "\"mode\": \"sendfile\"",
+       {"\"benchmark\": \"send_path\"", "\"rows\"", "\"mode\": \"writev\"",
+        "\"mode\": \"sendfile\"",
         "\"bytes_copied_per_reply\"", "\"rps\"", "\"p50_us\"", "\"p99_us\""}) {
     if (text.find(key) == std::string::npos) {
       if (error) *error = std::string("missing key ") + key;

@@ -42,8 +42,8 @@ int main() {
                 touched);
   }
   std::printf(
-      "\n%d of 12 options crosscut >= 2 units — the paper's argument for "
+      "\n%d of %zu options crosscut >= 2 units — the paper's argument for "
       "generating (not dynamically configuring) the framework.\n",
-      crosscutting_options);
+      crosscutting_options, tmpl.options().specs().size());
   return 0;
 }

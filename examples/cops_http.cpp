@@ -24,7 +24,7 @@ void usage() {
       "          [--cache-mb N] [--scheduling] [--overload] [--idle-ms N]\n"
       "          [--overload-mode watermark|adaptive] [--overload-target-ms N]\n"
       "          [--auto-index] [--debug] [--profiling] [--logging]\n"
-      "          [--send-path copy|writev|sendfile] [--sendfile-min BYTES]\n"
+      "          [--send-path writev|sendfile] [--sendfile-min BYTES]\n"
       "          [--body-framing content_length|chunked] [--chunked-min BYTES]\n"
       "          [--accept-path dispatch|reuseport] [--backlog N]\n"
       "          [--l1-entries N] [--l1-max-bytes BYTES]\n"
@@ -104,8 +104,11 @@ int main(int argc, char** argv) {
       options.admin_port = static_cast<uint16_t>(std::atoi(next()));
     } else if (arg == "--send-path") {
       const std::string mode = next();
-      options.send_path = mode == "copy" ? cops::nserver::SendPath::kCopy
-                          : mode == "sendfile"
+      if (mode != "writev" && mode != "sendfile") {
+        usage();
+        return 2;
+      }
+      options.send_path = mode == "sendfile"
                               ? cops::nserver::SendPath::kSendfile
                               : cops::nserver::SendPath::kWritev;
     } else if (arg == "--sendfile-min") {

@@ -54,7 +54,8 @@ struct SendSegment {
 // One encoded reply: the Encode step's product, moved intact into the
 // connection's SendQueue.  `copied_bytes` counts bytes that were
 // materialised into owned storage on the way here (headers always; bodies
-// only on the copy path) — the profiler's bytes-copied-per-reply metric.
+// only when flattened into one buffer) — the profiler's
+// bytes-copied-per-reply metric.
 struct EncodedReply {
   std::vector<SendSegment> segments;
   size_t copied_bytes = 0;

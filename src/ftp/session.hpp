@@ -50,10 +50,10 @@ class FtpSession {
   // Pending RNFR source path (consumed by RNTO).
   std::string rename_from;
 
-  // buffer_mgmt=pooled: the Decode hook parses into this recycled command
-  // (verb/arg keep their capacity) and Handle receives a pointer to it.
-  // Safe because the pipeline token invariant allows at most one command in
-  // flight per connection.
+  // The Decode hook parses into this recycled command (verb/arg keep their
+  // capacity) and Handle receives a pointer to it.  Safe because the
+  // pipeline token invariant allows at most one command in flight per
+  // connection.
   FtpCommand scratch_command;
 
   // ---- data connection setup ----------------------------------------------

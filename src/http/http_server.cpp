@@ -10,18 +10,12 @@ namespace cops::http {
 
 nserver::DecodeResult HttpAppHooks::decode(nserver::RequestContext& ctx,
                                            ByteBuffer& in) {
-  // buffer_mgmt (S2): pooled reuses the connection's scratch request and
-  // hands Handle a pointer (zero steady-state allocations per keep-alive
-  // request); per_request builds a fresh HttpRequest and moves it through
-  // the std::any, as the original COPS-HTTP did.
-  const bool pooled = ctx.buffer_mgmt() == nserver::BufferMgmt::kPooled;
-  // The connection state also carries the 100-continue latch, so it exists
-  // in both buffer modes; per_request simply leaves `scratch` unused.
+  // Parse into the connection's scratch request and hand Handle a pointer:
+  // zero steady-state allocations per keep-alive request.
   auto& any_state = ctx.app_state();
   if (!any_state) any_state = std::make_shared<HttpConnState>();
   auto* state = static_cast<HttpConnState*>(any_state.get());
-  HttpRequest local;
-  HttpRequest* request = pooled ? &state->scratch : &local;
+  HttpRequest* request = &state->scratch;
   ParseEvents events;
   switch (parse_request(in, *request, ParseLimits{}, events)) {
     case ParseOutcome::kIncomplete:
@@ -54,10 +48,7 @@ nserver::DecodeResult HttpAppHooks::decode(nserver::RequestContext& ctx,
   if (config_.priority_classifier) {
     priority = config_.priority_classifier(*request);
   }
-  if (pooled) {
-    return nserver::DecodeResult::request_ready(std::any(request), priority);
-  }
-  return nserver::DecodeResult::request_ready(std::move(local), priority);
+  return nserver::DecodeResult::request_ready(std::any(request), priority);
 }
 
 void HttpAppHooks::reply_error(nserver::RequestContext& ctx, StatusCode status,
@@ -67,17 +58,8 @@ void HttpAppHooks::reply_error(nserver::RequestContext& ctx, StatusCode status,
 }
 
 void HttpAppHooks::handle(nserver::RequestContext& ctx, std::any request) {
-  // Pooled decode passes a pointer to the connection's scratch request;
-  // per_request passes the HttpRequest by value.
-  HttpRequest moved;
-  const HttpRequest* reqp;
-  if (auto* pp = std::any_cast<HttpRequest*>(&request)) {
-    reqp = *pp;
-  } else {
-    moved = std::any_cast<HttpRequest>(std::move(request));
-    reqp = &moved;
-  }
-  const HttpRequest& req = *reqp;
+  // Decode passes a pointer to the connection's scratch request.
+  const HttpRequest& req = *std::any_cast<HttpRequest*>(request);
   const bool keep_alive = req.keep_alive();
 
   // O9 shed tier: while overloaded, answer with an explicit 503 instead of
@@ -238,14 +220,13 @@ std::string HttpAppHooks::encode(nserver::RequestContext& /*ctx*/,
   return std::any_cast<HttpResponse>(std::move(response)).serialize();
 }
 
-EncodedReply HttpAppHooks::encode_reply(nserver::RequestContext& ctx,
-                                                 std::any response) {
+EncodedReply HttpAppHooks::encode_reply(nserver::RequestContext& /*ctx*/,
+                                        std::any response) {
   responses_.fetch_add(1, std::memory_order_relaxed);
   const HttpResponse resp = std::any_cast<HttpResponse>(std::move(response));
   // Inline bodies (errors, listings, 304s) and HEAD replies are small; one
   // flat buffer is the right shape for them on every send path.
-  if (ctx.send_path() == nserver::SendPath::kCopy || resp.head_only ||
-      !resp.file || resp.file->size() == 0) {
+  if (resp.head_only || !resp.file || resp.file->size() == 0) {
     return EncodedReply::from_string(resp.serialize());
   }
   EncodedReply reply;
@@ -294,7 +275,6 @@ nserver::ServerOptions CopsHttpServer::default_options() {
   options.profiling = false;                                       // O11
   options.logging = false;                                         // O12
   options.send_path = nserver::SendPath::kWritev;  // zero-copy reply path
-  options.buffer_mgmt = nserver::BufferMgmt::kPooled;  // S2: recycle buffers
   // S3: length-framed replies — the static-content default.  Chunked reply
   // framing is opt-in (streaming/proxy deployments); chunked *request*
   // decoding is unconditional.

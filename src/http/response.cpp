@@ -118,8 +118,8 @@ std::string HttpResponse::serialize() const {
     out += bytes;
     return out;
   }
-  // Chunk framing with the same windows encode_reply uses, so copy and
-  // writev send paths emit bit-identical streams.  Exact reserve: per
+  // Chunk framing with the same windows encode_reply uses, so the flat and
+  // segmented encodings emit bit-identical streams.  Exact reserve: per
   // window a hex size line + CRLF, the data, a CRLF; then "0\r\n\r\n".
   const size_t window = chunk_bytes == 0 ? bytes.size() : chunk_bytes;
   size_t framed = 5 /* last chunk */;

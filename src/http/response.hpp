@@ -24,9 +24,9 @@ struct HttpResponse {
   bool head_only = false;  // HEAD: emit headers, suppress body bytes
   // Chunked transfer coding (RFC 7230 §4.1): the header block advertises
   // "Transfer-Encoding: chunked" instead of Content-Length, and the body is
-  // framed in windows of `chunk_bytes`.  Every send path — serialize() on
-  // copy, segment framing in encode_reply on writev/sendfile — uses the
-  // same windows, so the wire bytes are identical across send paths.
+  // framed in windows of `chunk_bytes`.  serialize() and encode_reply's
+  // segment framing (writev or sendfile) use the same windows, so the wire
+  // bytes are identical on every path.
   bool chunked = false;
   size_t chunk_bytes = 64 * 1024;
 
@@ -42,9 +42,10 @@ struct HttpResponse {
   // reply; the body rides as a refcounted slice.
   [[nodiscard]] std::string serialize_headers() const;
 
-  // Serializes status line + headers + body into one flat buffer (the
-  // send_path=copy format), chunk-framing the body when `chunked`.
-  // Reserves the exact size up front.
+  // Serializes status line + headers + body into one flat buffer (HEAD,
+  // inline, 304 and error replies, and the string encode() hook),
+  // chunk-framing the body when `chunked`.  Reserves the exact size up
+  // front.
   [[nodiscard]] std::string serialize() const;
 };
 

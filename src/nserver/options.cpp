@@ -32,16 +32,7 @@ const char* to_string(StatsExport mode) {
 }
 
 const char* to_string(SendPath path) {
-  switch (path) {
-    case SendPath::kCopy: return "Copy";
-    case SendPath::kWritev: return "Writev";
-    case SendPath::kSendfile: return "Sendfile";
-  }
-  return "?";
-}
-
-const char* to_string(BufferMgmt mgmt) {
-  return mgmt == BufferMgmt::kPerRequest ? "PerRequest" : "Pooled";
+  return path == SendPath::kWritev ? "Writev" : "Sendfile";
 }
 
 const char* to_string(BodyFraming framing) {
@@ -131,9 +122,9 @@ std::string ServerOptions::validate() const {
     return "send_path: sendfile needs a positive size threshold "
            "(sendfile_min_bytes) so small files still populate the cache";
   }
-  if (buffer_mgmt == BufferMgmt::kPooled && read_buffer_block_bytes == 0) {
-    return "buffer_mgmt: pooled buffers need a positive block size "
-           "(read_buffer_block_bytes)";
+  if (read_buffer_block_bytes == 0) {
+    return "read_buffer_block_bytes: pooled buffers need a positive block "
+           "size";
   }
   if (body_framing == BodyFraming::kChunked && reply_chunk_bytes == 0) {
     return "body_framing: chunked replies need a positive chunk window "

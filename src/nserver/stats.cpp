@@ -139,8 +139,7 @@ std::string render_prometheus(const StatsSnapshot& s) {
                 "(body_framing=chunked).",
                 c.send_chunked_replies);
   append_metric(out, "cops_pool_hits_total", "counter",
-                "Pool allocations served from a free-list "
-                "(buffer_mgmt=pooled).",
+                "Pool allocations served from a free-list.",
                 c.pool_hits);
   append_metric(out, "cops_pool_misses_total", "counter",
                 "Pool allocations that had to grow the pool.",

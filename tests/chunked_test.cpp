@@ -8,9 +8,10 @@
 //      the bytes a Content-Length POST of the same body produces, under
 //      fault-free and chaos plans, bit-identically per seed;
 //   3. simnet download differentials — body_framing=chunked replies carry
-//      the file bytes intact across send_path=copy/writev/sendfile with
-//      byte-identical wire streams, plus full-stack 100-continue / 417 /
-//      obs-fold regression coverage.
+//      the file bytes intact across send_path=writev/sendfile with
+//      byte-identical wire streams (and serialize() frames the same
+//      windows), plus full-stack 100-continue / 417 / obs-fold regression
+//      coverage.
 #include <algorithm>
 #include <any>
 #include <chrono>
@@ -395,7 +396,7 @@ DownloadRun run_download(uint64_t seed, const FaultPlan& plan,
   test::TempDir dir;
   dir.write_file("a.txt", small_file());
   dir.write_file("b.bin", big_file());
-  // Pin the docroot mtimes: the copy/writev/sendfile differential compares
+  // Pin the docroot mtimes: the writev/sendfile differential compares
   // whole reply streams, and Last-Modified must not depend on which
   // wall-clock second each run created its files in.
   const auto fixed_mtime = std::chrono::file_clock::from_sys(
@@ -484,24 +485,44 @@ TEST_P(ChunkedDownloadSeedTest, HeadRequestIsNeverChunked) {
   EXPECT_EQ(run.received.size(), header_end + 4);  // zero body bytes
 }
 
-TEST_P(ChunkedDownloadSeedTest, CopyWritevSendfileByteIdentical) {
-  // The copy path serializes chunk framing into one string; the writev path
-  // gathers owned size lines around zero-copy cache slices; the sendfile
-  // path interleaves owned framing with in-kernel file sends.  All three
-  // must put the identical byte stream on the wire.
+TEST_P(ChunkedDownloadSeedTest, WritevSendfileByteIdentical) {
+  // The writev path gathers owned size lines around zero-copy cache slices;
+  // the sendfile path interleaves owned framing with in-kernel file sends.
+  // Both must put the identical byte stream on the wire.
   const auto seed = static_cast<uint64_t>(GetParam());
-  const DownloadRun copy =
-      run_download(seed, FaultPlan::none(), nserver::SendPath::kCopy,
-                   get_b_wire());
   const DownloadRun writev =
       run_download(seed, FaultPlan::none(), nserver::SendPath::kWritev,
                    get_b_wire());
   const DownloadRun sendfile =
       run_download(seed, FaultPlan::none(), nserver::SendPath::kSendfile,
                    get_b_wire(), /*sendfile_min_bytes=*/128);
-  ASSERT_FALSE(copy.received.empty());
-  EXPECT_EQ(writev.received, copy.received);
-  EXPECT_EQ(sendfile.received, copy.received);
+  ASSERT_FALSE(writev.received.empty());
+  EXPECT_EQ(sendfile.received, writev.received);
+}
+
+// serialize() frames a chunked body as one flat buffer (the string encode()
+// hook); encode_reply gathers owned size lines around a shared body slice.
+// Both must cut the same windows, byte for byte.
+TEST(ChunkedEncodeTest, SerializeMatchesSegmentFraming) {
+  auto file = std::make_shared<nserver::FileData>();
+  file->bytes = big_file();
+  http::HttpResponse resp;
+  resp.file = file;
+  resp.chunked = true;
+  resp.chunk_bytes = 256;
+  // A fixed Date, so the two encodings cannot straddle a second boundary.
+  resp.set_header("Date", "Sun, 06 Nov 1994 08:49:37 GMT");
+  EncodedReply reply;
+  reply.add_owned(resp.serialize_headers());
+  reply.add_shared_chunked(file, file->bytes.data(), file->bytes.size(),
+                           resp.chunk_bytes);
+  reply.add_last_chunk();
+  std::string gathered;
+  for (const auto& segment : reply.segments) {
+    ASSERT_FALSE(segment.is_file());
+    gathered.append(segment.data(), segment.remaining());
+  }
+  EXPECT_EQ(gathered, resp.serialize());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChunkedDownloadSeedTest,

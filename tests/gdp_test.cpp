@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "common/config_file.hpp"
 #include "gdp/option.hpp"
 #include "gdp/pattern_template.hpp"
 #include "gdp/template_lang.hpp"
@@ -336,33 +337,27 @@ TEST(NServerTemplate, StatsExportOnGeneratesAdminWiring) {
 
 TEST(NServerTemplate, SendPathOptionCrosscutsGeneratedUnits) {
   const auto tmpl = make_nserver_template();
-  // The HTTP preset (send_path=writev) emits the send unit and wires the
-  // segmented path; flipping to copy removes both without disturbing the
-  // other units.
+  // Every instance emits the send unit; the HTTP preset (send_path=writev)
+  // wires the segmented path, and flipping to sendfile adds the sendfile
+  // threshold to the unit, the trait and the options block.
   auto writev_set = nserver_http_options();
-  auto copy_set = writev_set;
-  copy_set.set("send_path", "copy");
-  auto on = tmpl.render_all(writev_set, {{"app_name", "A"}, {"listen_port", "0"}});
-  auto off = tmpl.render_all(copy_set, {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(on.is_ok());
-  ASSERT_TRUE(off.is_ok());
-  EXPECT_TRUE(on.value().count("send_config.hpp"));
-  EXPECT_FALSE(off.value().count("send_config.hpp"));
-  EXPECT_NE(on.value().at("traits.hpp").find("kZeroCopySend = true"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("traits.hpp").find("kZeroCopySend = false"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("SendPath::kWritev"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("server_main.cpp").find("SendPath::kCopy"),
-            std::string::npos);
-
   auto sendfile_set = writev_set;
   sendfile_set.set("send_path", "sendfile");
+  auto wv = tmpl.render_all(writev_set,
+                            {{"app_name", "A"}, {"listen_port", "0"}});
   auto sf = tmpl.render_all(sendfile_set,
                             {{"app_name", "A"}, {"listen_port", "0"}});
+  ASSERT_TRUE(wv.is_ok());
   ASSERT_TRUE(sf.is_ok());
+  EXPECT_EQ(wv.value().at("send_config.hpp").find("kSendfileMinBytes"),
+            std::string::npos);
+  EXPECT_NE(wv.value().at("traits.hpp").find("kSendfile = false"),
+            std::string::npos);
+  EXPECT_NE(wv.value().at("server_main.cpp").find("SendPath::kWritev"),
+            std::string::npos);
   EXPECT_NE(sf.value().at("send_config.hpp").find("kSendfileMinBytes"),
+            std::string::npos);
+  EXPECT_NE(sf.value().at("server_main.cpp").find("SendPath::kSendfile"),
             std::string::npos);
   EXPECT_NE(sf.value().at("server_main.cpp").find("sendfile_min_bytes"),
             std::string::npos);
@@ -377,7 +372,7 @@ TEST(NServerTemplate, SendPathAppendsWithoutRenumbering) {
   const auto tmpl = make_nserver_template();
   auto matrix = tmpl.crosscut();
   ASSERT_TRUE(matrix.is_ok());
-  EXPECT_TRUE(matrix.value().at("Send Reply").at("send_path").existence);
+  EXPECT_TRUE(matrix.value().at("Send Reply").at("send_path").body);
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
@@ -389,57 +384,28 @@ TEST(NServerTemplate, SendPathAppendsWithoutRenumbering) {
   EXPECT_LT(stats_row, send_row) << "send_path must append after O11+";
 }
 
-TEST(NServerTemplate, BufferMgmtOptionCrosscutsGeneratedUnits) {
+TEST(NServerTemplate, StaleOptionsFilesFailWithClearErrors) {
+  // Options files written before buffer_mgmt and send_path=copy were
+  // removed must fail generation with an error naming the stale line, not
+  // silently fall back to a default.
   const auto tmpl = make_nserver_template();
-  // The HTTP preset (buffer_mgmt=pooled) emits the buffer unit and wires
-  // the pooled path; flipping to per_request removes both.
-  auto pooled_set = nserver_http_options();
-  auto per_request_set = pooled_set;
-  per_request_set.set("buffer_mgmt", "per_request");
-  auto on =
-      tmpl.render_all(pooled_set, {{"app_name", "A"}, {"listen_port", "0"}});
-  auto off = tmpl.render_all(per_request_set,
-                             {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(on.is_ok());
-  ASSERT_TRUE(off.is_ok());
-  EXPECT_TRUE(on.value().count("buffer_config.hpp"));
-  EXPECT_FALSE(off.value().count("buffer_config.hpp"));
-  EXPECT_NE(on.value().at("traits.hpp").find("kPooledBuffers = true"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("traits.hpp").find("kPooledBuffers = false"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("BufferMgmt::kPooled"),
-            std::string::npos);
-  EXPECT_NE(
-      off.value().at("server_main.cpp").find("BufferMgmt::kPerRequest"),
-      std::string::npos);
-  EXPECT_NE(on.value().at("buffer_config.hpp").find("kReadBufferBlockBytes"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("read_buffer_block_bytes"),
-            std::string::npos);
-  // The FTP preset stays per_request (one short command per connection
-  // gains nothing from recycling).
-  EXPECT_EQ(nserver_ftp_options().get("buffer_mgmt"), "per_request");
-}
-
-TEST(NServerTemplate, BufferMgmtAppendsWithoutRenumbering) {
-  // buffer_mgmt joins Table 2 as its own column while everything already
-  // there stays put; in the README option table it rows after send_path.
-  const auto tmpl = make_nserver_template();
-  auto matrix = tmpl.crosscut();
-  ASSERT_TRUE(matrix.is_ok());
-  EXPECT_TRUE(
-      matrix.value().at("Buffer Management").at("buffer_mgmt").existence);
-  EXPECT_TRUE(matrix.value().at("Send Reply").at("send_path").existence);
-  auto rendered = tmpl.render_all(nserver_http_options(),
-                                  {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(rendered.is_ok());
-  const auto& readme = rendered.value().at("README.md");
-  const size_t send_row = readme.find("S1 send-reply path");
-  const size_t buffer_row = readme.find("S2 buffer management");
-  ASSERT_NE(send_row, std::string::npos);
-  ASSERT_NE(buffer_row, std::string::npos);
-  EXPECT_LT(send_row, buffer_row) << "buffer_mgmt must append after S1";
+  const std::pair<const char*, const char*> cases[] = {
+      {"buffer_mgmt = pooled\n", "unknown option 'buffer_mgmt'"},
+      {"send_path = copy\n", "illegal value 'copy'"},
+  };
+  for (const auto& [text, expected] : cases) {
+    auto file = ConfigFile::parse(text);
+    ASSERT_TRUE(file.is_ok());
+    auto options = nserver_http_options();
+    for (const auto& [key, value] : file.value().entries()) {
+      options.set(key, value);
+    }
+    auto rendered =
+        tmpl.render_all(options, {{"app_name", "A"}, {"listen_port", "0"}});
+    ASSERT_FALSE(rendered.is_ok()) << text;
+    EXPECT_NE(rendered.status().to_string().find(expected), std::string::npos)
+        << rendered.status().to_string();
+  }
 }
 
 TEST(NServerTemplate, BodyFramingOptionCrosscutsGeneratedUnits) {
@@ -478,22 +444,20 @@ TEST(NServerTemplate, BodyFramingOptionCrosscutsGeneratedUnits) {
 
 TEST(NServerTemplate, BodyFramingAppendsWithoutRenumbering) {
   // body_framing joins Table 2 as its own column while everything already
-  // there stays put; in the README option table it rows after buffer_mgmt.
+  // there stays put; in the README option table it rows after send_path.
   const auto tmpl = make_nserver_template();
   auto matrix = tmpl.crosscut();
   ASSERT_TRUE(matrix.is_ok());
   EXPECT_TRUE(matrix.value().at("Body Framing").at("body_framing").existence);
-  EXPECT_TRUE(
-      matrix.value().at("Buffer Management").at("buffer_mgmt").existence);
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
-  const size_t buffer_row = readme.find("S2 buffer management");
+  const size_t send_row = readme.find("S1 send-reply path");
   const size_t framing_row = readme.find("S3 body framing");
-  ASSERT_NE(buffer_row, std::string::npos);
+  ASSERT_NE(send_row, std::string::npos);
   ASSERT_NE(framing_row, std::string::npos);
-  EXPECT_LT(buffer_row, framing_row) << "body_framing must append after S2";
+  EXPECT_LT(send_row, framing_row) << "body_framing must append after S1";
 }
 
 TEST(NServerTemplate, ProxyUpstreamOptionCrosscutsGeneratedUnits) {

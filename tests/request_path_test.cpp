@@ -1,14 +1,16 @@
-// Request-path pooling tests (buffer_mgmt = pooled, option S2).
+// Request-path pooling tests: the per-shard pools and per-connection scratch
+// objects every server's receive path runs on.
 //
 // Three layers:
 //   1. Unit coverage of the slab/pool layer (SlabPool, BufferPool, Arena)
 //      and of ByteBuffer storage adoption + HeaderMap arena reuse.
 //   2. Pool behaviour under pressure: exhaustion grows the pool (counted as
 //      misses), recycling turns subsequent traffic into hits.
-//   3. Full-stack simnet differentials: the same seeded scenario, replayed
-//      under chaos fault plans, must produce byte-identical reply streams
-//      with buffer_mgmt=pooled and buffer_mgmt=per_request — pooling is a
-//      pure optimisation with no observable protocol effect.
+//   3. Full-stack simnet differentials: the same seeded scenario must
+//      produce byte-identical reply streams under a chaos fault plan and
+//      with no faults, and with a tiny read-buffer block and the default
+//      one — buffer recycling and regrowth have no observable protocol
+//      effect.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -215,7 +217,6 @@ TEST(HeaderMapTest, ResetKeepsNoEntriesAndEqualityIsOrdered) {
 // COPS-HTTP stack over the simulated network and returns the client's
 // received byte stream.
 std::string run_scenario(uint64_t seed, const simnet::FaultPlan& plan,
-                         nserver::BufferMgmt buffer_mgmt,
                          size_t read_buffer_block_bytes = 16 * 1024,
                          bool* closed_out = nullptr) {
   simnet::SimEngine engine(seed, plan);
@@ -226,8 +227,8 @@ std::string run_scenario(uint64_t seed, const simnet::FaultPlan& plan,
   for (int i = 0; i < 2000; ++i) big += static_cast<char>('A' + (i * 7) % 26);
   dir.write_file("b.bin", big);
   // Pin the docroot mtimes: Last-Modified must not depend on which
-  // wall-clock second this run created its files in, or the pooled and
-  // per_request differential runs can straddle a second boundary.
+  // wall-clock second this run created its files in, or the two runs of a
+  // differential can straddle a second boundary.
   const auto fixed_mtime = std::chrono::file_clock::from_sys(
       std::chrono::sys_seconds(std::chrono::seconds(784111777)));
   std::filesystem::last_write_time(dir.path() / "a.txt", fixed_mtime);
@@ -236,7 +237,6 @@ std::string run_scenario(uint64_t seed, const simnet::FaultPlan& plan,
   auto options = http::CopsHttpServer::default_options();
   simnet::make_deterministic(options);
   options.listen_port = 8090;
-  options.buffer_mgmt = buffer_mgmt;
   options.read_buffer_block_bytes = read_buffer_block_bytes;
   http::HttpServerConfig config;
   config.doc_root = dir.str();
@@ -288,19 +288,17 @@ class RequestPathDifferentialTest : public ::testing::TestWithParam<int> {};
 TEST_P(RequestPathDifferentialTest, PooledRepliesAreByteIdentical) {
   const auto seed = static_cast<uint64_t>(GetParam());
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  bool pooled_closed = false;
-  bool per_request_closed = false;
-  const std::string pooled =
-      run_scenario(seed, simnet::FaultPlan::chaos(),
-                   nserver::BufferMgmt::kPooled, 16 * 1024, &pooled_closed);
-  const std::string per_request = run_scenario(
-      seed, simnet::FaultPlan::chaos(), nserver::BufferMgmt::kPerRequest,
-      16 * 1024, &per_request_closed);
-  ASSERT_FALSE(pooled.empty());
-  EXPECT_EQ(pooled, per_request)
-      << "buffer_mgmt must not change a single reply byte";
-  EXPECT_TRUE(pooled_closed);
-  EXPECT_EQ(pooled_closed, per_request_closed);
+  bool chaos_closed = false;
+  bool calm_closed = false;
+  const std::string chaos = run_scenario(seed, simnet::FaultPlan::chaos(),
+                                         16 * 1024, &chaos_closed);
+  const std::string calm = run_scenario(seed, simnet::FaultPlan::none(),
+                                        16 * 1024, &calm_closed);
+  ASSERT_FALSE(calm.empty());
+  EXPECT_EQ(chaos, calm)
+      << "short reads and EINTR/EAGAIN must not change a single reply byte";
+  EXPECT_TRUE(chaos_closed);
+  EXPECT_TRUE(calm_closed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RequestPathDifferentialTest,
@@ -311,17 +309,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RequestPathDifferentialTest,
 
 // A read-buffer block far smaller than the requests forces the adopted
 // storage to grow mid-request under chaos segmentation — the pool-miss
-// growth path.  Replies must still be byte-identical to per_request.
+// growth path.  Replies must still be byte-identical to the default block.
 TEST(RequestPathDifferentialTest, TinyPooledBlocksGrowAndStayCorrect) {
   bool closed = false;
-  const std::string pooled =
-      run_scenario(99, simnet::FaultPlan::chaos(),
-                   nserver::BufferMgmt::kPooled, /*block=*/32, &closed);
-  const std::string per_request =
-      run_scenario(99, simnet::FaultPlan::chaos(),
-                   nserver::BufferMgmt::kPerRequest);
-  ASSERT_FALSE(pooled.empty());
-  EXPECT_EQ(pooled, per_request);
+  const std::string tiny =
+      run_scenario(99, simnet::FaultPlan::chaos(), /*block=*/32, &closed);
+  const std::string standard =
+      run_scenario(99, simnet::FaultPlan::chaos());
+  ASSERT_FALSE(tiny.empty());
+  EXPECT_EQ(tiny, standard);
   EXPECT_TRUE(closed);
 }
 
@@ -336,7 +332,6 @@ TEST(RequestPathPoolCountersTest, ProfileAggregatesPoolTraffic) {
   simnet::make_deterministic(options);
   options.listen_port = 8090;
   options.profiling = true;
-  options.buffer_mgmt = nserver::BufferMgmt::kPooled;
   http::HttpServerConfig config;
   config.doc_root = dir.str();
   http::CopsHttpServer server(std::move(options), config);

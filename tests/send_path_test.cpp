@@ -1,6 +1,6 @@
 // Send-path tests: SendQueue segment mechanics, writev resumption under
 // injected partial writes / EINTR / EAGAIN, sendfile partial sends, and the
-// differential guarantee that send_path=copy and send_path=writev put
+// differential guarantee that send_path=writev and send_path=sendfile put
 // byte-identical reply streams on the wire for the same seed.
 #include <chrono>
 #include <cstring>
@@ -196,7 +196,7 @@ RunResult run_scenario(uint64_t seed, const FaultPlan& plan,
   dir.write_file("b.bin", big_file());
   // Pin the docroot mtimes: Last-Modified must not depend on which
   // wall-clock second this run happened to create its files in, or the
-  // copy-vs-writev differential runs can straddle a second boundary.
+  // writev-vs-sendfile differential runs can straddle a second boundary.
   const auto fixed_mtime = std::chrono::file_clock::from_sys(
       std::chrono::sys_seconds(std::chrono::seconds(784111777)));
   std::filesystem::last_write_time(dir.path() / "a.txt", fixed_mtime);
@@ -300,24 +300,33 @@ TEST_P(SendPathSeedTest, SendfileResumesPartialSends) {
   EXPECT_TRUE(trace_mentions(run.trace, "sendfile"));
 }
 
-TEST_P(SendPathSeedTest, CopyAndWritevProduceByteIdenticalStreams) {
+// The sendfile threshold sits below b.bin's 2000 bytes, so the sendfile
+// runs move both /b.bin bodies with sendfile(2) while the writev runs
+// gather them from the cache.
+TEST_P(SendPathSeedTest, WritevAndSendfileProduceByteIdenticalStreams) {
   const auto seed = static_cast<uint64_t>(GetParam());
-  auto copy = run_scenario(seed, FaultPlan::none(), nserver::SendPath::kCopy);
   auto writev = run_scenario(seed, FaultPlan::none(),
                              nserver::SendPath::kWritev);
-  check_scenario_responses(copy);
-  ASSERT_EQ(copy.received.size(), writev.received.size())
-      << "copy and writev reply streams differ in length";
-  ASSERT_EQ(copy.received, writev.received);
+  auto sendfile = run_scenario(seed, FaultPlan::none(),
+                               nserver::SendPath::kSendfile,
+                               /*sendfile_min_bytes=*/256);
+  check_scenario_responses(writev);
+  EXPECT_TRUE(trace_mentions(sendfile.trace, "sendfile"));
+  ASSERT_EQ(writev.received.size(), sendfile.received.size())
+      << "writev and sendfile reply streams differ in length";
+  ASSERT_EQ(writev.received, sendfile.received);
 }
 
-TEST_P(SendPathSeedTest, CopyAndWritevIdenticalUnderChaosToo) {
+TEST_P(SendPathSeedTest, WritevAndSendfileIdenticalUnderChaosToo) {
   const auto seed = static_cast<uint64_t>(GetParam());
-  auto copy = run_scenario(seed, FaultPlan::chaos(), nserver::SendPath::kCopy);
   auto writev = run_scenario(seed, FaultPlan::chaos(),
                              nserver::SendPath::kWritev);
+  auto sendfile = run_scenario(seed, FaultPlan::chaos(),
+                               nserver::SendPath::kSendfile,
+                               /*sendfile_min_bytes=*/256);
   check_scenario_responses(writev);
-  ASSERT_EQ(copy.received, writev.received);
+  EXPECT_TRUE(trace_mentions(sendfile.trace, "sendfile"));
+  ASSERT_EQ(writev.received, sendfile.received);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SendPathSeedTest, ::testing::Range(1, 7),
